@@ -87,12 +87,13 @@ type APOLLO struct {
 }
 
 type apolloState struct {
-	proj     *linalg.Projector
-	mR, vR   *tensor.Matrix // auxiliary moments, r×n
-	t        int
-	since    int
-	prevNorm float64 // for the norm-growth limiter
-	trans    bool    // stored matrix is n×m (rows > cols)
+	proj      *linalg.Projector
+	mR, vR    *tensor.Matrix // auxiliary moments, r×n
+	r, rTilde *tensor.Matrix // per-step scratch, r×n: R = P·G and its normalized moment
+	t         int
+	since     int
+	prevNorm  float64 // for the norm-growth limiter
+	trans     bool    // stored matrix is n×m (rows > cols)
 }
 
 // New constructs an APOLLO optimizer from cfg.
@@ -176,21 +177,39 @@ func (a *APOLLO) RowSplittable(p *nn.Param) bool { return !a.projectable(p) }
 func (a *APOLLO) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
 	optim.PrepareProjectedShard(all, owned, a.projectable, a.rng.Uint64,
 		func(p *nn.Param, seed uint64) {
-			if _, ok := a.states[p]; ok {
-				return
-			}
-			trans := p.W.Rows > p.W.Cols
-			n := p.W.Cols
-			if trans {
-				n = p.W.Rows
-			}
-			a.states[p] = &apolloState{
-				proj:  linalg.NewProjector(a.cfg.Projection, a.cfg.Rank, seed),
-				mR:    tensor.NewMatrix(a.cfg.Rank, n),
-				vR:    tensor.NewMatrix(a.cfg.Rank, n),
-				trans: trans,
+			if _, ok := a.states[p]; !ok {
+				a.states[p] = a.freshState(p, seed)
 			}
 		})
+}
+
+// orientation returns the column count n of p's gradient as APOLLO projects
+// it (m ≤ n), and whether the stored matrix is the transpose of that view.
+func orientation(p *nn.Param) (n int, trans bool) {
+	if p.W.Rows > p.W.Cols {
+		return p.W.Rows, true
+	}
+	return p.W.Cols, false
+}
+
+// newApolloState wraps a projector and its r×n moments with the step
+// scratch sized alike. The scratch is working memory, not optimizer state:
+// StateBytes and checkpoints leave it out.
+func newApolloState(proj *linalg.Projector, mR, vR *tensor.Matrix, trans bool) *apolloState {
+	return &apolloState{
+		proj: proj, mR: mR, vR: vR,
+		r:      tensor.NewMatrix(mR.Rows, mR.Cols),
+		rTilde: tensor.NewMatrix(mR.Rows, mR.Cols),
+		trans:  trans,
+	}
+}
+
+// freshState is a projected parameter's state at first touch: zero moments
+// and a projector drawing its subspaces from seed.
+func (a *APOLLO) freshState(p *nn.Param, seed uint64) *apolloState {
+	n, trans := orientation(p)
+	return newApolloState(linalg.NewProjector(a.cfg.Projection, a.cfg.Rank, seed),
+		tensor.NewMatrix(a.cfg.Rank, n), tensor.NewMatrix(a.cfg.Rank, n), trans)
 }
 
 // Step implements optim.Optimizer (Algorithm 1).
@@ -203,17 +222,7 @@ func (a *APOLLO) Step(ps []*nn.Param) {
 		}
 		st, ok := a.states[p]
 		if !ok {
-			trans := p.W.Rows > p.W.Cols
-			n := p.W.Cols
-			if trans {
-				n = p.W.Rows
-			}
-			st = &apolloState{
-				proj:  linalg.NewProjector(a.cfg.Projection, a.cfg.Rank, a.rng.Uint64()),
-				mR:    tensor.NewMatrix(a.cfg.Rank, n),
-				vR:    tensor.NewMatrix(a.cfg.Rank, n),
-				trans: trans,
-			}
+			st = a.freshState(p, a.rng.Uint64())
 			a.states[p] = st
 		}
 
@@ -231,10 +240,11 @@ func (a *APOLLO) Step(ps []*nn.Param) {
 		st.since++
 		st.t++
 
-		r := st.proj.Project(grad) // R_t, r×n
+		r := st.r // R_t, r×n
+		st.proj.ProjectInto(r, grad)
 
 		// Step 2: auxiliary AdamW moments (λ = 0 inside the aux space).
-		rTilde := tensor.NewMatrix(r.Rows, r.Cols)
+		rTilde := st.rTilde
 		updateMoments(st.mR, st.vR, rTilde, r, a.h, st.t)
 
 		// Step 3: structured scaling factors from the compressed space.

@@ -46,20 +46,15 @@ func (a *APOLLO) RestoreParam(p *nn.Param, st *optim.ParamState) error {
 	if !a.projectable(p) {
 		return a.dense.RestoreParam(p, st)
 	}
-	trans := p.W.Rows > p.W.Cols
-	n := p.W.Cols
-	if trans {
-		n = p.W.Rows
-	}
+	n, trans := orientation(p)
 	proj, mR, vR, t, since, prevNorm, err := optim.RestoreProjectedState(
 		st, a.cfg.Projection, a.cfg.Rank, n, true, "APOLLO "+p.Name)
 	if err != nil {
 		return err
 	}
-	a.states[p] = &apolloState{
-		proj: proj, mR: mR, vR: vR,
-		t: t, since: since, prevNorm: prevNorm, trans: trans,
-	}
+	s := newApolloState(proj, mR, vR, trans)
+	s.t, s.since, s.prevNorm = t, since, prevNorm
+	a.states[p] = s
 	return nil
 }
 

@@ -2,20 +2,25 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // fill populates x with a deterministic, sign-varying pattern including
-// exact zeros (the kernels skip zero multipliers, so parity must cover them).
+// exact zeros of both signs, so the bitwise checks also pin the sign of
+// zero products and zero sums.
 func fill(x []float32, seed uint64) {
 	s := seed
 	for i := range x {
 		s = s*6364136223846793005 + 1442695040888963407
 		v := float32(int32(s>>33)%1000) / 997
-		if s%17 == 0 {
+		switch s % 17 {
+		case 0:
 			v = 0
+		case 1:
+			v = float32(math.Copysign(0, -1))
 		}
 		x[i] = v
 	}
@@ -24,7 +29,7 @@ func fill(x []float32, seed uint64) {
 func bitEqual(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("%s: bit mismatch at %d: got %v want %v", name, i, got[i], want[i])
 		}
 	}
@@ -103,30 +108,164 @@ func TestTMatMulParity(t *testing.T) {
 	}
 }
 
-// TestMatMulMatchesNaive pins the kernels to the textbook triple loop within
-// float tolerance (the bit-parity tests above only relate parallel to
-// serial; this one catches a kernel that is consistently wrong).
+// refMatMul is the textbook order MatMul and TMatMul must reproduce: each
+// element starts at +0 and adds float32(A[i,p]·b[p,j]) for ascending p, with
+// A[i,p] = a[i*ai + p*ap].
+func refMatMul(a, b []float32, ai, ap, m, k, n int) []float32 {
+	out := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float32
+			for p := 0; p < k; p++ {
+				acc += float32(a[i*ai+p*ap] * b[p*n+j])
+			}
+			out[i*n+j] = acc
+		}
+	}
+	return out
+}
+
+// refMatMulT is the textbook 4-lane dot order MatMulT must reproduce per
+// element: lane q%4 sums products 4r+q, the k%4 tail goes into lane 0, and
+// the lanes combine as s0+s1+s2+s3.
+func refMatMulT(a, b []float32, m, k, n int) []float32 {
+	out := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s [4]float32
+			for p := 0; p < k; p++ {
+				lane := p % 4
+				if p >= k-k%4 {
+					lane = 0
+				}
+				s[lane] += float32(a[i*k+p] * b[j*k+p])
+			}
+			out[i*n+j] = s[0] + s[1] + s[2] + s[3]
+		}
+	}
+	return out
+}
+
+// refShapes adds the model's real GEMM shapes (7B proxy: dim 128, hidden
+// 344, vocab 256, 32 token rows per replica step, 256 in a zero2 global
+// batch) to the ragged ones, read as each kernel's own (m, k, n).
+var refShapes = append([]struct{ m, k, n int }{
+	{32, 128, 128}, {32, 128, 344}, {32, 344, 128}, {32, 128, 256}, {32, 256, 128},
+	{128, 32, 128}, {344, 32, 128}, {128, 32, 344}, {256, 32, 128},
+	{128, 256, 128}, {344, 256, 128}, {128, 256, 344},
+}, shapes...)
+
+// TestKernelsMatchReference pins every kernel's accumulation order to the
+// textbook loops bit for bit at every pool size. The parity tests above only
+// relate a kernel to its own serial path, which a rewrite of both could
+// change together.
+func TestKernelsMatchReference(t *testing.T) {
+	for _, sh := range refShapes {
+		m, k, n := sh.m, sh.k, sh.n
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		fill(a, uint64(m*31+k))
+		fill(b, uint64(k*31+n))
+		wantMM := refMatMul(a, b, k, 1, m, k, n)  // a is m×k
+		wantTMM := refMatMul(a, b, 1, m, m, k, n) // a read as k×m
+		wantMMT := refMatMulT(a, b, m, k, n)      // b read as n×k
+		withPoolSizes(t, func(t *testing.T) {
+			got := make([]float32, m*n)
+			fill(got, 999)
+			MatMul(got, a, b, m, k, n)
+			bitEqual(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), got, wantMM)
+			fill(got, 999)
+			TMatMul(got, a, b, k, m, n)
+			bitEqual(t, fmt.Sprintf("TMatMul %dx%dx%d", m, k, n), got, wantTMM)
+			fill(got, 999)
+			MatMulT(got, a, b, m, k, n)
+			bitEqual(t, fmt.Sprintf("MatMulT %dx%dx%d", m, k, n), got, wantMMT)
+		})
+	}
+}
+
+// TestDotMatchesReference pins Dot, which attention scores call, to the
+// same 4-lane order as MatMulT.
+func TestDotMatchesReference(t *testing.T) {
+	for _, k := range []int{0, 1, 3, 4, 7, 32, 129} {
+		x := make([]float32, k)
+		y := make([]float32, k)
+		fill(x, uint64(k)+5)
+		fill(y, uint64(k)+6)
+		want := refMatMulT(x, y, 1, k, 1)
+		bitEqual(t, fmt.Sprintf("Dot k=%d", k), []float32{Dot(x, y)}, want)
+	}
+}
+
+// TestNonFinitePropagates: the kernels multiply every pair, zeros included,
+// so a NaN or Inf in b reaches every output it feeds even where the matching
+// a entries are zero (0·Inf = NaN), as in the textbook loop. The bad value
+// visits every column, so register tiles and ragged edges are all covered.
+func TestNonFinitePropagates(t *testing.T) {
+	const m, k, n = 5, 6, 7
+	a := make([]float32, m*k) // all zero
+	b := make([]float32, k*n)
+	out := make([]float32, m*n)
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		for jb := 0; jb < n; jb++ {
+			fill(b, 8)
+			b[2*n+jb] = bad // row p=2 of the k×n b
+			for _, kc := range []struct {
+				name string
+				run  func()
+			}{
+				{"MatMul", func() { MatMul(out, a, b, m, k, n) }},
+				{"TMatMul", func() { TMatMul(out, a, b, k, m, n) }},
+			} {
+				kc.run()
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						if nan := math.IsNaN(float64(out[i*n+j])); nan != (j == jb) {
+							t.Fatalf("%s with b[2,%d]=%v: out[%d,%d] = %v", kc.name, jb, bad, i, j, out[i*n+j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulMatchesNaive pins the kernels to the exact triple loop within
+// float tolerance (a float64 check that the kernels compute the right
+// product at all, independent of any float32 ordering).
 func TestMatMulMatchesNaive(t *testing.T) {
 	m, k, n := 33, 20, 29
 	a := make([]float32, m*k)
 	b := make([]float32, k*n)
 	fill(a, 3)
 	fill(b, 4)
-	naive := make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
+	// naive(ai, ap, bp, bj) = Σ_p A[i,p]·B[p,j] with A[i,p] = a[i*ai+p*ap]
+	// and B[p,j] = b[p*bp+j*bj].
+	naive := func(ai, ap, bp, bj int) []float64 {
+		out := make([]float64, m*n)
+		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				naive[i*n+j] += float64(a[i*k+p]) * float64(b[p*n+j])
+				for p := 0; p < k; p++ {
+					out[i*n+j] += float64(a[i*ai+p*ap]) * float64(b[p*bp+j*bj])
+				}
+			}
+		}
+		return out
+	}
+	check := func(name string, got []float32, want []float64) {
+		for i := range got {
+			if d := float64(got[i]) - want[i]; d > 1e-3 || d < -1e-3 {
+				t.Fatalf("%s vs naive at %d: got %v want %v", name, i, got[i], want[i])
 			}
 		}
 	}
 	got := make([]float32, m*n)
 	MatMul(got, a, b, m, k, n)
-	for i := range got {
-		if d := float64(got[i]) - naive[i]; d > 1e-3 || d < -1e-3 {
-			t.Fatalf("MatMul vs naive at %d: got %v want %v", i, got[i], naive[i])
-		}
-	}
+	check("MatMul", got, naive(k, 1, n, 1))
+	TMatMul(got, a, b, k, m, n)
+	check("TMatMul", got, naive(1, m, n, 1))
+	MatMulT(got, a, b, m, k, n)
+	check("MatMulT", got, naive(k, 1, 1, k))
 }
 
 func TestReduceParity(t *testing.T) {

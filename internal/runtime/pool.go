@@ -1,17 +1,18 @@
 // Package runtime is the parallel execution substrate shared by the whole
 // repository: a persistent worker pool, a deterministic range-splitting
-// fan-out, tiled multi-goroutine kernels for the hot dense ops (MatMul and
-// its transposed variants, large elementwise loops) and fixed-grid parallel
-// reductions.
+// fan-out, register-tiled multi-goroutine kernels for the hot dense ops
+// (MatMul and its transposed variants, large elementwise loops) and
+// fixed-grid parallel reductions.
 //
 // Determinism contract: every kernel in this package produces bits that
-// depend only on its inputs (and compile-time tile constants) — never on the
-// worker count, GOMAXPROCS, or goroutine scheduling. The matmul kernels
-// achieve this by accumulating each output element over the inner dimension
-// in ascending order regardless of how the output is tiled; the reductions
-// achieve it by summing over a fixed chunk grid whose partials are combined
-// in chunk order. Parity tests compare every parallel kernel bit-for-bit
-// against its serial reference.
+// depend only on its inputs — never on the worker count, GOMAXPROCS, tile
+// position or goroutine scheduling. The matmul kernels achieve this by
+// giving each output element one fixed accumulation order over the inner
+// dimension (ascending for MatMul/TMatMul, Dot's 4 lanes for MatMulT)
+// wherever it falls in the tiling; the reductions achieve it by summing
+// over a fixed chunk grid whose partials are combined in chunk order.
+// Tests pin the matmul kernels to textbook loops in those orders and
+// compare every parallel kernel bit-for-bit against its serial reference.
 package runtime
 
 import (

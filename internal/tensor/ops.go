@@ -39,25 +39,9 @@ func MatMulInto(out, a, b *Matrix) {
 	runtime.MatMul(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 }
 
-// Dot returns the inner product of equal-length slices.
-func Dot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
-	}
-	var s0, s1, s2, s3 float32
-	n := len(x)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += x[i] * y[i]
-	}
-	return s0 + s1 + s2 + s3
-}
+// Dot returns the inner product of equal-length slices, in runtime.Dot's
+// 4-lane order (the order MatMulT uses per element).
+func Dot(x, y []float32) float32 { return runtime.Dot(x, y) }
 
 // MatMulT returns a·bᵀ without materializing the transpose.
 func MatMulT(a, b *Matrix) *Matrix {
